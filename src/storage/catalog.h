@@ -70,7 +70,7 @@ class Database {
 
   Database() = default;
 
-#ifndef NDEBUG
+#if MAYBMS_DEBUG_INVARIANTS
   // Hand-written only in Debug: stamp with the CURRENT region token
   // (never the source's) and maintain the tables' shared-markers. Release
   // keeps the implicit members.
@@ -131,7 +131,7 @@ class Database {
     TableHandle table;
   };
 
-#ifndef NDEBUG
+#if MAYBMS_DEBUG_INVARIANTS
   /// Traps when a mutating entry point runs inside a parallel region on a
   /// Database this thread did not create within that region.
   void AssertMutableInRegion() const {
@@ -153,7 +153,7 @@ class Database {
 #endif
 
   std::map<std::string, Entry> relations_;  // key: lower-cased name
-#ifndef NDEBUG
+#if MAYBMS_DEBUG_INVARIANTS
   // Region token (base/parallel_region.h) current when this Database was
   // constructed/assigned; 0 when created outside any parallel region.
   uint64_t debug_region_token_ = base::CurrentRegionToken();

@@ -38,7 +38,7 @@ class Table {
   Table(Schema schema, std::vector<Tuple> rows)
       : schema_(std::move(schema)), rows_(std::move(rows)) {}
 
-#ifndef NDEBUG
+#if MAYBMS_DEBUG_INVARIANTS
   // A copy is a brand-new unshared instance regardless of the source's
   // marker; moving FROM a shared instance is itself a mutation and traps.
   // (Hand-written only in Debug so Release keeps the implicit members.)
@@ -116,19 +116,19 @@ class Table {
   /// Marking is idempotent and thread-safe: parallel workers copying the
   /// same parent Database mark its instances concurrently.
   void DebugMarkShared() const {
-#ifndef NDEBUG
+#if MAYBMS_DEBUG_INVARIANTS
     debug_shared_.store(true, std::memory_order_relaxed);
 #endif
   }
   void DebugMarkUnshared() const {
-#ifndef NDEBUG
+#if MAYBMS_DEBUG_INVARIANTS
     debug_shared_.store(false, std::memory_order_relaxed);
 #endif
   }
 
  private:
   void AssertUnshared() const {
-#ifndef NDEBUG
+#if MAYBMS_DEBUG_INVARIANTS
     MAYBMS_DCHECK(!debug_shared_.load(std::memory_order_relaxed),
                   "Table mutated while shared between worlds — the "
                   "copy-on-write invariant (storage/catalog.h) requires "
@@ -138,7 +138,7 @@ class Table {
 
   Schema schema_;
   std::vector<Tuple> rows_;
-#ifndef NDEBUG
+#if MAYBMS_DEBUG_INVARIANTS
   // Set while this instance is (potentially) reachable from more than one
   // TableHandle; mutable so const Databases can mark on copy.
   mutable std::atomic<bool> debug_shared_{false};

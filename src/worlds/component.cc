@@ -1,5 +1,9 @@
 #include "worlds/component.h"
 
+#include <limits>
+#include <string>
+#include <utility>
+
 namespace maybms::worlds {
 
 const std::vector<Tuple>* Alternative::TuplesFor(
@@ -44,45 +48,57 @@ Status Component::Normalize() {
   return Status::OK();
 }
 
+SubProduct::SubProduct(std::vector<const Component*> parts)
+    : parts_(std::move(parts)) {
+  for (const Component* part : parts_) {
+    const uint64_t n = static_cast<uint64_t>(part->size());
+    if (n != 0 && size_ > std::numeric_limits<uint64_t>::max() / n) {
+      size_ = std::numeric_limits<uint64_t>::max();  // saturate
+      return;
+    }
+    size_ *= n;
+  }
+}
+
+Status SubProduct::CheckCap(size_t max_alternatives) const {
+  if (max_alternatives != 0 && size_ > max_alternatives) {
+    return Status::Unsupported(
+        "component merge would exceed " + std::to_string(max_alternatives) +
+        " alternatives; the query correlates too many components");
+  }
+  return Status::OK();
+}
+
+double SubProduct::Decode(uint64_t ordinal,
+                          std::vector<const Alternative*>* chosen) const {
+  chosen->resize(parts_.size());
+  double probability = 1.0;
+  for (size_t k = 0; k < parts_.size(); ++k) {
+    const std::vector<Alternative>& alternatives = parts_[k]->alternatives;
+    const Alternative& alt = alternatives[ordinal % alternatives.size()];
+    ordinal /= alternatives.size();
+    (*chosen)[k] = &alt;
+    probability *= alt.probability;
+  }
+  return probability;
+}
+
 Result<Component> MergeComponents(const std::vector<const Component*>& parts,
                                   size_t max_alternatives) {
+  SubProduct product(parts);
+  MAYBMS_RETURN_NOT_OK(product.CheckCap(max_alternatives));
   Component merged;
-  if (parts.empty()) {
-    merged.alternatives.push_back(Alternative{});  // the trivial choice
-    return merged;
-  }
-
-  uint64_t total = 1;
-  for (const Component* part : parts) {
-    total *= static_cast<uint64_t>(part->size());
-    if (max_alternatives != 0 && total > max_alternatives) {
-      return Status::Unsupported(
-          "component merge would exceed " + std::to_string(max_alternatives) +
-          " alternatives; the query correlates too many components");
-    }
-  }
-
-  merged.alternatives.reserve(static_cast<size_t>(total));
-  std::vector<size_t> pick(parts.size(), 0);
-  while (true) {
-    Alternative combo;
-    combo.probability = 1.0;
-    for (size_t i = 0; i < parts.size(); ++i) {
-      const Alternative& alt = parts[i]->alternatives[pick[i]];
-      combo.probability *= alt.probability;
-      for (const auto& [rel, tuples] : alt.tuples) {
+  merged.alternatives.resize(static_cast<size_t>(product.size()));
+  std::vector<const Alternative*> chosen;
+  for (size_t o = 0; o < merged.alternatives.size(); ++o) {
+    Alternative& combo = merged.alternatives[o];
+    combo.probability = product.Decode(o, &chosen);
+    for (const Alternative* alt : chosen) {
+      for (const auto& [rel, tuples] : alt->tuples) {
         auto& dst = combo.tuples[rel];
         dst.insert(dst.end(), tuples.begin(), tuples.end());
       }
     }
-    merged.alternatives.push_back(std::move(combo));
-
-    size_t i = 0;
-    for (; i < parts.size(); ++i) {
-      if (++pick[i] < parts[i]->size()) break;
-      pick[i] = 0;
-    }
-    if (i == parts.size()) break;
   }
   return merged;
 }

@@ -2,6 +2,7 @@
 #define MAYBMS_WORLDS_COMPONENT_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -42,10 +43,39 @@ struct Component {
   Status Normalize();
 };
 
+/// The product of a set of components, addressed by ordinal: ordinal `o`
+/// picks from part k the alternative given by digit k of `o` in
+/// little-endian mixed radix (part 0 varies fastest). Probabilities
+/// multiply in part order. This is the one enumeration order of the
+/// decomposed engine: MergeComponents flattens in it, and every
+/// per-world loop over a sub-product walks it, so a local world and its
+/// probability are bit-identical whichever way they are reached.
+class SubProduct {
+ public:
+  explicit SubProduct(std::vector<const Component*> parts);
+
+  /// Number of combinations, saturating at uint64 max.
+  uint64_t size() const { return size_; }
+
+  /// OK iff the product fits in `max_alternatives` (0 = unlimited); the
+  /// error is the merge cap's "component merge would exceed ..." text.
+  Status CheckCap(size_t max_alternatives) const;
+
+  /// Fills `chosen` with combination `ordinal`'s alternatives, one per
+  /// part in part order, and returns its probability.
+  double Decode(uint64_t ordinal,
+                std::vector<const Alternative*>* chosen) const;
+
+ private:
+  std::vector<const Component*> parts_;
+  uint64_t size_ = 1;
+};
+
 /// Flattens the product of `parts` into a single component whose
-/// alternatives are all combinations, with merged contributions and
-/// product probabilities. The result size is the product of the part
-/// sizes; `max_alternatives` guards against explosion (0 = unlimited).
+/// alternatives are all combinations, in SubProduct order, with merged
+/// contributions and product probabilities. The result size is the
+/// product of the part sizes; `max_alternatives` guards against explosion
+/// (0 = unlimited).
 Result<Component> MergeComponents(const std::vector<const Component*>& parts,
                                   size_t max_alternatives);
 

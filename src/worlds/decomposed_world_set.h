@@ -14,10 +14,13 @@
 //    plans against `certain_` and executes against local worlds.
 //  * Components are independent by construction: each alternative's
 //    probabilities sum to 1 within its component, and world probability
-//    is the product over components. Operations that would correlate
-//    components (joins of uncertain relations, aggregates over them,
-//    assert, group worlds by, DML touching them) first merge the
-//    RELEVANT components only — never the full product.
+//    is the product over components. Reads that correlate components
+//    (joins of uncertain relations, aggregates over them, assert, group
+//    worlds by) enumerate the RELEVANT sub-product only — never the full
+//    product — and never copy it: each local world is decoded from its
+//    ordinal and built on the spot. Components merge only when a
+//    statement commits a correlated result (CREATE TABLE AS, DML that
+//    changes rows).
 //  * Query plans are schema-only and never capture alternative contents;
 //    per-world state (subquery materializations, hash indexes) lives in
 //    per-execution caches (engine/planner.h).
@@ -30,8 +33,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -39,6 +44,8 @@
 #include "worlds/world_set.h"
 
 namespace maybms::worlds {
+
+class StreamingEvaluator;
 
 /// MayBMS-style world-set decomposition (WSD): the world-set is the
 /// product of independent components over a certain core database.
@@ -58,8 +65,9 @@ namespace maybms::worlds {
 ///    math (conf uses the closed form 1 − ∏_c (1 − p_c(t)));
 ///  * only `assert`, `group worlds by`, and queries that genuinely
 ///    correlate components (joins of uncertain relations, aggregates over
-///    them, subqueries) enumerate the *relevant* sub-product and merge
-///    those components — never the full world-set.
+///    them, subqueries) enumerate the *relevant* sub-product, feeding each
+///    local world's answer to the shared StreamingEvaluator
+///    (worlds/streaming_evaluator.h) — never the full world-set.
 class DecomposedWorldSet : public WorldSet {
  public:
   /// `max_merge` caps the alternatives a single merge may produce (the
@@ -103,63 +111,54 @@ class DecomposedWorldSet : public WorldSet {
   size_t num_components() const { return components_.size(); }
 
  private:
-  /// The decomposed (non-merged) form of a query result: a certain part
-  /// plus per-alternative contributions aligned with components.
-  /// `components[i]`'s alternative j contributes `contributions[i][j]`.
+  /// The decomposed (non-enumerated) form of a query result: certain rows
+  /// plus per-alternative contributions of the involved components.
+  /// `components_[component_indices[k]]`'s alternative j contributes
+  /// `contributions[k][j]`; each new repair/choice component's
+  /// alternatives carry theirs under the "__result" key.
   struct DecomposedResult {
     Schema schema;
     std::vector<Tuple> certain_rows;
-    std::vector<size_t> component_indices;            // into components_
+    std::vector<size_t> component_indices;  // into components_
     std::vector<std::vector<std::vector<Tuple>>> contributions;
-    std::vector<Component> new_components;            // repair/choice output
+    std::vector<Component> new_components;
   };
 
-  /// The merged form: one flattened component (replacing `replaced`
-  /// components of components_) whose alternative i has full result table
-  /// `results[i]`.
-  struct MergedResult {
-    Component component;
-    std::vector<Table> results;
-    std::vector<size_t> replaced;  // indices into components_
-  };
+  /// The decomposed form of a statement without assert / group worlds by,
+  /// or nullopt when the statement correlates components (or repairs an
+  /// uncertain source) and must enumerate.
+  Result<std::optional<DecomposedResult>> Decompose(
+      const sql::SelectStatement& stmt,
+      const std::set<std::string>& referenced,
+      const std::vector<size_t>& relevant) const;
 
-  struct PipelineOutput {
-    std::optional<Table> certain_result;      // result certain in all worlds
-    std::optional<DecomposedResult> decomposed;
-    std::optional<MergedResult> merged;
-    std::optional<Table> combined;            // quantifier answer
-    std::vector<SelectEvaluation::GroupResult> groups;
-  };
+  /// Runs the statement's SQL core (after repair/choice fan-out) in every
+  /// local world of the sub-product of `relevant` and feeds each answer to
+  /// `evaluator`, tagged with the world's sub-product ordinal. Read-only.
+  Status StreamAnswers(const sql::SelectStatement& stmt,
+                       const std::vector<size_t>& relevant,
+                       StreamingEvaluator* evaluator) const;
 
-  /// `result_name` is the relation name under which the statement's
-  /// per-world result is visible to `assert` conditions and
-  /// `group worlds by` queries (the CREATE TABLE target name, or
-  /// "__result" for plain selects) — mirroring the explicit engine.
-  Result<PipelineOutput> RunPipeline(const sql::SelectStatement& stmt,
-                                     const std::string& result_name) const;
+  /// The sub-product of the given components (indices into components_).
+  SubProduct ProductOf(const std::vector<size_t>& indices) const;
 
-  /// Streaming grouped-quantifier evaluation: one pass over the local
-  /// worlds of the relevant sub-product keeping a per-group-key
-  /// QuantifierCombiner (fed unnormalized alternative probabilities,
-  /// normalized per group at Finish) — per-alternative answers are never
-  /// materialized as a batch. Used by EvaluateSelect for grouped
-  /// statements without repair/choice whose assert/grouping queries do
-  /// not reference the internal "__result" relation; everything else
-  /// falls back to the materializing pipeline.
-  Result<std::vector<SelectEvaluation::GroupResult>> EvaluateGroupedStreaming(
-      const sql::SelectStatement& stmt) const;
+  using WorldBody = std::function<Status(
+      size_t ordinal, size_t slot, size_t chunk, double probability,
+      const std::vector<const Alternative*>& chosen)>;
+
+  /// The sub-product enumerator: runs `body` for ordinals [0, n) of
+  /// `product` on the shared pool (ParallelFor's slot and chunk passed
+  /// through). Local worlds come out in MergeComponents' order, which is
+  /// also the order the repair/choice source loop decodes in sequence.
+  Status ForEachWorld(const SubProduct& product, size_t n,
+                      const WorldBody& body) const;
 
   /// Indices of components contributing to any of `relations` (lower-case).
   std::vector<size_t> RelevantComponents(
       const std::set<std::string>& relations) const;
 
-  /// Builds the database of one local world: the certain core plus the
-  /// contributions of the given alternatives.
-  Database BuildLocalDatabase(const std::vector<const Alternative*>& chosen)
-      const;
-
   /// Merges the given components into a single flattened component
-  /// (enumerating their sub-product, capped by max_merge_).
+  /// (capped by max_merge_). Only committing statements call it.
   Result<Component> MergeRelevant(const std::vector<size_t>& indices) const;
 
   /// True if the statement qualifies for the per-alternative push-down

@@ -11,6 +11,8 @@
 
 namespace maybms::worlds {
 
+class StreamingEvaluator;
+
 /// The textbook possible-worlds representation: every world is a fully
 /// materialized database. Doubles as the semantic reference implementation
 /// (differential tests) and the benchmark baseline against the
@@ -20,8 +22,9 @@ namespace maybms::worlds {
 /// materialized databases, so the total world count is capped; exceeding
 /// the cap is an error directing users to the decomposed engine.
 ///
-/// Per-world work (the pipeline core, streaming combination, DML
-/// snapshots) runs on the shared chunked thread pool (base/thread_pool.h).
+/// Per-world work (the SQL core, the shared streaming evaluator of
+/// worlds/streaming_evaluator.h, DML snapshots) runs on the shared chunked
+/// thread pool (base/thread_pool.h).
 /// `threads` caps the parallelism (0 = MAYBMS_THREADS / hardware);
 /// results and errors are byte-identical at every thread count.
 class ExplicitWorldSet : public WorldSet {
@@ -64,46 +67,11 @@ class ExplicitWorldSet : public WorldSet {
   void SetWorlds(std::vector<World> worlds);
 
  private:
-  struct PipelineOutput {
-    std::vector<World> worlds;  // result stored under the pipeline name
-    std::vector<std::pair<double, Table>> per_world_results;
-    std::optional<Table> combined;
-    std::vector<SelectEvaluation::GroupResult> groups;
-  };
-
-  /// Runs the full I-SQL select pipeline over `input`:
-  /// SQL core (+ repair/choice world creation) -> assert -> group worlds
-  /// by / possible / certain / conf. The per-world result relation is
-  /// stored under `result_name` in the returned worlds.
-  /// `want_per_world_results` controls whether the (probability, answer)
-  /// copies for quantifier-free statements are collected — EvaluateSelect
-  /// needs them, MaterializeSelect does not.
-  Result<PipelineOutput> RunPipeline(std::vector<World> input,
-                                     const sql::SelectStatement& stmt,
-                                     const std::string& result_name,
-                                     bool want_per_world_results) const;
-
-  /// Streaming evaluation of a possible/certain/conf statement without
-  /// `group worlds by`: per-world answers are folded into a
-  /// QuantifierCombiner (worlds/combiner.h) the moment they are produced
-  /// and discarded immediately — no retained per-world result tables and
-  /// no database copies (sole exception: an assert condition that
-  /// literally names the internal "__result" relation forces a per-world
-  /// copy to expose it). Read-only; used by EvaluateSelect.
-  Result<Table> EvaluateQuantifierStreaming(
-      const sql::SelectStatement& stmt) const;
-
-  /// Streaming evaluation of a grouped quantifier statement
-  /// (`select possible/certain/conf ... group worlds by (q)`): one pass
-  /// over the (derived) worlds keeping a per-group-key QuantifierCombiner
-  /// fed with unnormalized world probabilities — Finish(group mass)
-  /// normalizes within each group — instead of materializing every
-  /// per-world answer before grouping. Read-only; used by EvaluateSelect.
-  /// Callers fall back to the materializing pipeline when the assert or
-  /// grouping query references the internal "__result" relation (only
-  /// there can they observe the per-world answer).
-  Result<std::vector<SelectEvaluation::GroupResult>> EvaluateGroupedStreaming(
-      const sql::SelectStatement& stmt) const;
+  /// Runs the statement's SQL core in every world (fanning each out into
+  /// its repair-by-key / choice-of worlds first) and feeds every answer to
+  /// `evaluator`. Read-only.
+  Status StreamAnswers(const sql::SelectStatement& stmt,
+                       StreamingEvaluator* evaluator) const;
 
   std::vector<World> worlds_;
   size_t max_worlds_;

@@ -29,10 +29,10 @@
 //    after every world succeeded.
 //
 // Trivalent logic / NULL keys: per-world evaluation uses standard SQL
-// three-valued logic (engine/expr_eval.h); the cross-world combinators
-// (CombinePossible/CombineCertain/CombineConf) compare answer *tuples*
-// under the total order of Value, where NULL is a plain value — two NULL
-// answer fields compare equal for world-combination purposes even though
+// three-valued logic (engine/expr_eval.h); the cross-world combination
+// (QuantifierCombiner, worlds/combiner.h) compares answer *tuples* under
+// the total order of Value, where NULL is a plain value — two NULL answer
+// fields compare equal for world-combination purposes even though
 // NULL = NULL is UNKNOWN inside a query.
 
 #include <cstddef>
@@ -149,7 +149,9 @@ class WorldSet {
   /// Executes `create table <name> as <stmt>`: applies the statement's
   /// world operations (repair by key / choice of create worlds; assert
   /// drops worlds and renormalizes) and stores the result relation in
-  /// every (surviving) world.
+  /// every (surviving) world. A quantified statement without assert or
+  /// group worlds by stores its combined relation in the existing worlds:
+  /// its repair/choice worlds do not outlive the combination.
   virtual Status MaterializeSelect(const std::string& name,
                                    const sql::SelectStatement& stmt) = 0;
 
@@ -170,10 +172,11 @@ class WorldSet {
 // ---- Shared helpers used by both implementations -------------------------
 
 /// Statement-shape checks every world-set implementation applies before
-/// running the I-SQL pipeline (repair/choice vs UNION combinations). The
-/// error messages are part of the differential-conformance surface: both
-/// engines — and every evaluation path within an engine — must fail
-/// identically, so there is exactly one copy of them.
+/// running the I-SQL pipeline (repair/choice vs UNION combinations, a
+/// plain grouping query). The error messages are part of the
+/// differential-conformance surface: both engines — and every evaluation
+/// path within an engine — must fail identically, so there is exactly one
+/// copy of them.
 Status ValidateWorldOps(const sql::SelectStatement& stmt);
 
 /// Collects the (lower-cased) names of all relations referenced anywhere in
@@ -183,36 +186,6 @@ void CollectReferencedRelations(const sql::SelectStatement& stmt,
                                 std::set<std::string>* out);
 void CollectReferencedRelations(const sql::Expr& expr,
                                 std::set<std::string>* out);
-
-/// True if the statement references the internal "__result" relation —
-/// the name under which a statement's own per-world answer is exposed to
-/// `assert` / `group worlds by` in the materializing pipelines. Both
-/// engines use this as the gate for the streaming evaluation paths
-/// (which never materialize that relation, and so must fall back when it
-/// is observable); keeping the rule here prevents the engines from
-/// diverging on which statements stream.
-bool ReferencesInternalResult(const sql::SelectStatement& stmt);
-
-// The set-based combinators below are the *retained oracle* for the
-// streaming QuantifierCombiner (worlds/combiner.h), which both engines
-// use on their hot paths. They stay exercised two ways: the combiner
-// property suite compares the two on randomized inputs, and setting
-// MAYBMS_COMBINER_ORACLE=1 routes every combination in the engine through
-// them end to end.
-
-/// Combines per-world results under `possible`: the distinct union.
-/// Entries' tables must share arity.
-Table CombinePossible(const std::vector<std::pair<double, Table>>& entries);
-
-/// Combines per-world results under `certain`: tuples present in every
-/// world's answer.
-Table CombineCertain(const std::vector<std::pair<double, Table>>& entries);
-
-/// Combines per-world results under `conf`: each distinct tuple extended
-/// with the sum of probabilities of the worlds whose answer contains it.
-/// For 0-column answers (bare `select conf`), produces a single-row table
-/// with one `conf` column holding P(answer non-empty).
-Table CombineConf(const std::vector<std::pair<double, Table>>& entries);
 
 /// Canonical key for group-worlds-by: the sorted distinct rows of the
 /// grouping query's answer.

@@ -1,6 +1,6 @@
 // Property suite for the streaming QuantifierCombiner (worlds/combiner.h)
-// against the retained set-based oracle (CombinePossible/CombineCertain/
-// CombineConf in worlds/world_set.h), plus a peak-allocation check that
+// against the set-based reference combinators (CombinePossible/
+// CombineCertain/CombineConf in tests/set_combinators.h), plus a peak-allocation check that
 // the explicit engine's streaming quantifier path really does discard
 // per-world answers as it goes.
 //
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "isql/session.h"
+#include "tests/set_combinators.h"
 #include "tests/test_util.h"
 #include "worlds/combiner.h"
 #include "worlds/world_set.h"
@@ -218,19 +219,7 @@ const char* QuantifierName(sql::WorldQuantifier q) {
   }
 }
 
-class CombinerPropertyTest : public ::testing::TestWithParam<uint32_t> {
- protected:
-  void SetUp() override {
-    // Under MAYBMS_COMBINER_ORACLE=1 the combiner itself delegates to
-    // the set-based functions, so a streaming-vs-oracle comparison would
-    // compare the oracle against itself and validate nothing. Skip
-    // loudly instead of passing trivially.
-    if (QuantifierCombiner::UsingSetBasedOracle()) {
-      GTEST_SKIP() << "MAYBMS_COMBINER_ORACLE=1: streaming combiner not "
-                      "exercised; property comparison would be vacuous";
-    }
-  }
-};
+class CombinerPropertyTest : public ::testing::TestWithParam<uint32_t> {};
 
 // 100 seeds x 3 quantifiers = 300 randomized streaming-vs-oracle cases.
 TEST_P(CombinerPropertyTest, StreamingMatchesSetBasedOracle) {
@@ -381,9 +370,6 @@ TEST(CombinerEdgeTest, RejectsMissingQuantifier) {
 // ---------------------------------------------------------------------------
 
 TEST(ExplicitStreamingRetentionTest, QuantifierEvalPeakAllocationIsFlat) {
-  if (QuantifierCombiner::UsingSetBasedOracle()) {
-    GTEST_SKIP() << "MAYBMS_COMBINER_ORACLE=1 retains fed worlds by design";
-  }
   isql::SessionOptions options;
   options.engine = isql::EngineMode::kExplicit;
   isql::Session session(options);

@@ -174,6 +174,49 @@ TEST(DecomposedWorldSetTest, AssertMergesAndRenormalizes) {
   EXPECT_EQ(Wsd(session).NumWorlds(), 2u);
 }
 
+/// 14 keys x 2 values repaired into J: 14 components of 2 alternatives.
+void LoadFourteenKeyRepair(Session& session) {
+  Exec(session, "create table R (K integer, V integer);");
+  std::string values;
+  for (int k = 0; k < 14; ++k) {
+    for (int v = 0; v < 2; ++v) {
+      if (!values.empty()) values += ", ";
+      values += "(" + std::to_string(k) + ", " + std::to_string(v) + ")";
+    }
+  }
+  Exec(session, "insert into R values " + values + ";");
+  Exec(session, "create table J as select * from R repair by key K;");
+}
+
+TEST(DecomposedWorldSetTest, DmlThatChangesNothingKeepsComponents) {
+  Session session(DecomposedOptions());
+  LoadFourteenKeyRepair(session);
+  ASSERT_EQ(Wsd(session).num_components(), 14u);
+  Exec(session, "delete from J where K < 0;");
+  Exec(session, "update J set V = V where K = 3;");
+  ASSERT_EQ(Wsd(session).num_components(), 14u);
+  for (const Component& c : Wsd(session).components()) {
+    EXPECT_EQ(c.size(), 2u);
+  }
+  EXPECT_EQ(Wsd(session).NumWorlds(), uint64_t{1} << 14);
+}
+
+TEST(DecomposedWorldSetTest, DmlThatChangesRowsMergesAndCommits) {
+  Session session(DecomposedOptions());
+  LoadFourteenKeyRepair(session);
+  Exec(session, "delete from J where V = 1 and K < 2;");
+  // Every J component is relevant to the delete: merged into one of
+  // 2^14 alternatives, each holding its world's post-delete contents.
+  ASSERT_EQ(Wsd(session).num_components(), 1u);
+  EXPECT_EQ(Wsd(session).components()[0].size(), 16384u);
+  EXPECT_EQ(Wsd(session).NumWorlds(), uint64_t{1} << 14);
+  QueryResult conf = Exec(session, "select conf, K, V from J where K < 2;");
+  maybms::testing::ExpectRows(conf.table(), {"(0, 0, 0.5)", "(1, 0, 0.5)"});
+  QueryResult count =
+      Exec(session, "select possible count(*) from J;");
+  maybms::testing::ExpectRows(count.table(), {"(12)", "(13)", "(14)"});
+}
+
 TEST(DecomposedWorldSetTest, DropRelationRemovesContributions) {
   Session session(DecomposedOptions());
   maybms::testing::LoadFigure1(session);

@@ -484,7 +484,10 @@ TEST(PipelineGeneratorTest, CorpusCoversISqlSurface) {
         // streaming grouped tails (grouped quantifiers over probe-level
         // repair, and assert before group worlds by).
         "W + 0.5 as W", "weight G", "create table C2",
-        "repair by key K group worlds by", ") group worlds by"}) {
+        "repair by key K group worlds by", ") group worlds by",
+        // Quantified materializations: no world fan-out on either engine.
+        "as select possible K", "as select certain K",
+        "as select conf, K"}) {
     EXPECT_NE(corpus.find(feature), std::string::npos)
         << "corpus never exercises: " << feature;
   }

@@ -33,7 +33,7 @@
 namespace maybms {
 namespace {
 
-#ifndef NDEBUG
+#if MAYBMS_DEBUG_INVARIANTS
 constexpr bool kTrapsArmed = true;
 #else
 constexpr bool kTrapsArmed = false;

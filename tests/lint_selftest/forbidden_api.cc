@@ -26,6 +26,11 @@ void Violations(Database* db, const Table* t) {
   // sampling bench before SplitMix64.
   std::mt19937 rng(42);  // expect-lint: forbidden-api
   (void)rng();
+
+  // Environment knobs outside the sanctioned config sites: configuration
+  // goes through SessionOptions.
+  const char* knob = std::getenv("KNOB");  // expect-lint: forbidden-api
+  (void)knob;
   (void)w;
   (void)d;
 }
@@ -42,8 +47,8 @@ void Sanctioned(const Table* t) {
   (void)w;
 
   // Mentions inside comments and strings never count: GetMutableRelation,
-  // std::thread, std::mt19937.
-  const char* msg = "GetMutableRelation was removed; std::mt19937 too";
+  // std::thread, std::mt19937, getenv("X").
+  const char* msg = "GetMutableRelation was removed; std::mt19937 too; getenv(";
   (void)msg;
 }
 

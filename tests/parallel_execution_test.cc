@@ -132,6 +132,12 @@ TEST_P(ParallelExecutionTest, QueriesAreThreadCountInvariant) {
       "select * from D2 repair by key K weight W;",
       "select conf, K from D2 group worlds by (select K from D2 where K > 3);",
       "select conf, K from D2 assert exists(select * from D2 where K >= 0);",
+      // A correlated read (a join of two uncertain relations) with assert
+      // and group worlds by: the decomposed engine enumerates the relevant
+      // sub-product into the shared streaming evaluator.
+      "select possible a.K from D2 a, C b where a.K <= b.K "
+      "assert exists(select * from C where K > 0) "
+      "group worlds by (select count(*) from D2 where K > 3);",
   };
   std::vector<std::unique_ptr<Session>> sessions;
   for (size_t threads : kThreadCounts) {

@@ -130,12 +130,14 @@ void PipelineGenerator::EmitDerivedTable(GeneratedPipeline* p) {
 
   int form = Int(0, 3);
   uint64_t factor = 1;
+  bool world_op = false;  // a repair/choice clause was emitted
   if (form == 0) {  // repair by key
     bool key_includes_g = Chance(0.3);
     factor = RepairFactor(src.ancestor_rows, /*use_k=*/true, key_includes_g);
     if (world_bound_ * factor <= options_.world_budget) {
       sql << " repair by key K" << (key_includes_g ? ", G" : "")
           << weight_clause();
+      world_op = true;
     } else {
       factor = 1;  // over budget: plain filtered copy
     }
@@ -144,17 +146,33 @@ void PipelineGenerator::EmitDerivedTable(GeneratedPipeline* p) {
     factor = ChoiceFactor(src.ancestor_rows, col);
     if (world_bound_ * factor <= options_.world_budget) {
       sql << " choice of " << col << weight_clause();
+      world_op = true;
     } else {
       factor = 1;
     }
-  } else if (form == 2) {  // assert (drops worlds; never multiplies)
+  }
+  if (world_op && Chance(0.25)) {
+    // A quantified materialization combines the repair/choice worlds into
+    // one relation stored in the existing worlds: no world fan-out, and
+    // the new table is certain. Both engines must agree on that world
+    // count (checked after setup).
+    const char* kQuantifiers[] = {"possible ", "certain ", "conf, "};
+    std::string text = sql.str();
+    text.insert(std::string("create table " + info.name + " as select ").size(),
+                kQuantifiers[Int(0, 2)]);
+    sql.str(text);
+    sql.seekp(0, std::ios_base::end);
+    factor = 1;
+    info.quantified = true;
+  }
+  if (form == 2) {  // assert (drops worlds; never multiplies)
     sql << " assert exists(select * from " << src.name << " where V >= "
         << Int(1, 2) << ")";
   }
   // form == 3: plain per-world selection.
   sql << ";";
   world_bound_ *= factor;
-  info.uncertain = src.uncertain || factor > 1;
+  info.uncertain = !info.quantified && (src.uncertain || factor > 1);
   p->setup.push_back(sql.str());
   tables_.push_back(std::move(info));
 }

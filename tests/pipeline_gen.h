@@ -10,7 +10,8 @@ namespace maybms::testing {
 
 /// A randomly generated I-SQL pipeline: a setup script that builds a
 /// world-set (base tables, inserts, repair-by-key / choice-of / assert
-/// materializations — with integer, REAL, and invalid TEXT weight
+/// materializations, some of them quantified (`create table .. as select
+/// possible/certain/conf .. repair by key / choice of`) — with integer, REAL, and invalid TEXT weight
 /// columns, and repair chains of depth >= 3 — CREATE VIEW definitions,
 /// late DML — including UPDATE .. SET with expression right-hand sides
 /// and subquery WHERE clauses) followed by read-only probe queries that exercise selections,
@@ -75,6 +76,8 @@ class PipelineGenerator {
     // of derived tables (their world accounting would otherwise have to
     // chase the view expansion).
     bool is_view = false;
+    // Materialized under possible/certain/conf: one certain relation.
+    bool quantified = false;
     // Rows of the root base table this table was derived from (derived
     // tables only ever project subsets of their ancestor's rows, so these
     // bound any repair/choice fan-out applied to this table).

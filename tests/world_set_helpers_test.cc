@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "sql/parser.h"
+#include "tests/set_combinators.h"
 #include "tests/test_util.h"
 #include "worlds/explicit_world_set.h"
 

@@ -19,7 +19,10 @@ rules over `src/` (see docs/architecture.md, "Invariant enforcement"):
                      base::SplitMix64, which is O(1) to seed), and raw
                      file I/O (open/fopen/mmap/pread/pwrite/fsync/...)
                      outside src/storage/ (use storage::File, which the
-                     fault injector and checksum layer instrument).
+                     fault injector and checksum layer instrument), and
+                     getenv outside the sanctioned config sites
+                     (base/thread_pool.cc, isql/session.cc): new knobs
+                     are SessionOptions fields, not environment reads.
 
   unchecked-status   A bare expression statement calling a function that
                      returns Status/Result drops the error. Consume it,
@@ -102,8 +105,8 @@ WORLD_LOOP_PRE_CONTEXT = 300  # chars of stripped code before the `for`
 
 FORBIDDEN_API_PATTERNS = [
     # (regex, exempt_path_prefix, message): a match is ignored when the
-    # file's rule path starts with the exempt prefix (None = banned
-    # everywhere in src/).
+    # file's rule path starts with the exempt prefix, or with any prefix of
+    # a tuple of them (None = banned everywhere in src/).
     (re.compile(r"\bGetMutableRelation\b"), None,
      "deleted API GetMutableRelation — use Database::MutableRelation "
      "(clone-on-unshared-write) or PutRelation"),
@@ -129,6 +132,15 @@ FORBIDDEN_API_PATTERNS = [
      "raw file I/O outside src/storage/ — go through storage::File "
      "(fault-injectable, checksummed); direct syscalls dodge the "
      "crash-recovery battery"),
+    # Environment knobs: configuration enters through SessionOptions,
+    # resolved from the environment in the sanctioned config sites only,
+    # so a knob is documented and validated in one place instead of
+    # silently changing engine behavior from wherever it is read.
+    (re.compile(r"(?<![\w.>])(std::)?(secure_)?getenv\s*\("),
+     ("src/base/thread_pool.cc", "src/isql/session.cc"),
+     "environment read outside the sanctioned config sites "
+     "(base/thread_pool.cc, isql/session.cc) — add a SessionOptions field "
+     "resolved there instead of a new environment knob"),
 ]
 
 
